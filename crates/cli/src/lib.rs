@@ -346,6 +346,9 @@ fn run_protocol<C: Caaf + 'static>(
     );
     let (result, correct, cc, rounds): (u64, bool, u64, u64) = match protocol {
         "tradeoff" => {
+            // Reject a budget below Theorem 1's `b >= 21c` here, not as a
+            // panic inside the driver.
+            ftagg::interval::IntervalLayout::new(b, c, inst.model(c).d)?;
             let r = run_tradeoff(op, inst, &TradeoffConfig { b, c, f, seed });
             let _ = writeln!(
                 out,

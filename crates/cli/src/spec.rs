@@ -67,61 +67,82 @@ fn parse_pair(s: &str, sep: char) -> Result<(usize, usize), String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the unknown family or malformed parameter.
+/// Returns a message naming the unknown family or malformed parameter,
+/// including a size below the family's minimum (every size must be
+/// positive; a cycle or torus side needs 3 nodes, a wheel 4, a barbell
+/// clique 2, and a hypercube dimension lies in `1..=20`).
 pub fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     let (name, arg) = spec.split_once(':').unwrap_or((spec, ""));
     let num = |s: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("bad number '{s}' in '{spec}'"))
     };
+    let at_least = |min: usize, v: usize| -> Result<usize, String> {
+        if v >= min {
+            Ok(v)
+        } else {
+            Err(format!("'{spec}': {name} sizes must be at least {min}, got {v}"))
+        }
+    };
+    let size = |min: usize| num(arg).and_then(|v| at_least(min, v));
+    // Both sizes of an `AxB` pair, the first at least `min_a`, the second
+    // at least `min_b`.
+    let sizes = |min_a: usize, min_b: usize| -> Result<(usize, usize), String> {
+        let (a, b) = parse_pair(arg, 'x')?;
+        Ok((at_least(min_a, a)?, at_least(min_b, b)?))
+    };
     Ok(match name {
-        "path" => topology::path(num(arg)?),
-        "cycle" => topology::cycle(num(arg)?),
-        "star" => topology::star(num(arg)?),
-        "complete" => topology::complete(num(arg)?),
+        "path" => topology::path(size(1)?),
+        "cycle" => topology::cycle(size(3)?),
+        "star" => topology::star(size(1)?),
+        "complete" => topology::complete(size(1)?),
         "grid" => {
-            let (r, c) = parse_pair(arg, 'x')?;
+            let (r, c) = sizes(1, 1)?;
             topology::grid(r, c)
         }
         "torus" => {
-            let (r, c) = parse_pair(arg, 'x')?;
+            let (r, c) = sizes(3, 3)?;
             topology::torus(r, c)
         }
-        "binary-tree" => topology::binary_tree(num(arg)?),
+        "binary-tree" => topology::binary_tree(size(1)?),
         "caterpillar" => {
-            let (s, l) = parse_pair(arg, 'x')?;
+            let (s, l) = sizes(1, 0)?;
             topology::caterpillar(s, l)
         }
         "broom" => {
-            let (h, b) = parse_pair(arg, 'x')?;
+            let (h, b) = sizes(1, 0)?;
             topology::broom(h, b)
         }
         "lollipop" => {
-            let (k, t) = parse_pair(arg, 'x')?;
+            let (k, t) = sizes(1, 0)?;
             topology::lollipop(k, t)
         }
-        "hypercube" => topology::hypercube(num(arg)? as u32),
-        "wheel" => topology::wheel(num(arg)?),
+        "hypercube" => {
+            let dim = size(1)?;
+            if dim > 20 {
+                return Err(format!("'{spec}': hypercube dimension must be at most 20"));
+            }
+            topology::hypercube(dim as u32)
+        }
+        "wheel" => topology::wheel(size(4)?),
         "barbell" => {
-            let (k, b) = parse_pair(arg, 'x')?;
+            let (k, b) = sizes(2, 0)?;
             topology::barbell(k, b)
         }
         "bipartite" => {
-            let (a, b) = parse_pair(arg, 'x')?;
+            let (a, b) = sizes(1, 1)?;
             topology::complete_bipartite(a, b)
         }
         "random-tree" => {
             let mut rng = StdRng::seed_from_u64(seed);
-            topology::random_tree(num(arg)?, &mut rng)
+            topology::random_tree(size(1)?, &mut rng)
         }
         "gnp" => {
-            let (n, pct) = parse_pair(arg, 'x')?;
-            let p = pct
-                .to_string()
-                .trim_end_matches('%')
-                .parse::<usize>()
-                .map_err(|_| format!("bad percent in '{spec}'"))?;
+            let (n, pct) = sizes(1, 0)?;
+            if pct > 100 {
+                return Err(format!("'{spec}': gnp percent must be at most 100"));
+            }
             let mut rng = StdRng::seed_from_u64(seed);
-            topology::connected_gnp(n, p as f64 / 100.0, &mut rng)
+            topology::connected_gnp(n, pct as f64 / 100.0, &mut rng)
         }
         other => return Err(format!("unknown topology family '{other}'")),
     })

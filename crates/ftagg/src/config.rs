@@ -109,8 +109,9 @@ impl Instance {
         self.graph.len()
     }
 
-    /// Model parameters with stretch constant `c` (diameter computed from
-    /// the graph).
+    /// Model parameters with stretch constant `c`. The diameter is the
+    /// graph's [`netsim::Graph::diameter`], computed once and cached on the
+    /// graph, so calling this per pair or per stage costs nothing extra.
     pub fn model(&self, c: u32) -> Model {
         Model {
             n: self.n(),

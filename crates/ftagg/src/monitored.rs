@@ -18,7 +18,7 @@ use crate::run::{run_pair_with_sink, PairReport};
 use caaf::Caaf;
 use netsim::{
     AnyEngine, DecideCheck, FailureSchedule, FlightRecorder, FlightRecorderHandle, MonitorConfig,
-    MonitorReport, Round, TeeSink, Watchdog,
+    MonitorReport, NodeId, Round, TeeSink, Watchdog,
 };
 
 /// A [`MonitorConfig`] enforcing one AGG(+VERI) pair's invariants:
@@ -65,17 +65,46 @@ pub fn decide_envelope<C: Caaf + 'static>(
 ) -> DecideCheck {
     let op = op.clone();
     let inst = inst.clone();
-    Box::new(move |round, node, value| {
-        if node != inst.root {
-            return Err(format!("decision by non-root node {}", node.0));
-        }
-        let iv = inst.correct_interval(&op, global_offset + round);
-        if iv.contains(value) {
-            Ok(())
-        } else {
-            Err(format!("outside the CAAF envelope [{}, {}]", iv.lo, iv.hi))
-        }
-    })
+    Box::new(move |round, node, value| envelope(&op, &inst, global_offset, round, node, value))
+}
+
+fn envelope<C: Caaf>(
+    op: &C,
+    inst: &Instance,
+    global_offset: Round,
+    round: Round,
+    node: NodeId,
+    value: u64,
+) -> Result<(), String> {
+    if node != inst.root {
+        return Err(format!("decision by non-root node {}", node.0));
+    }
+    let iv = inst.correct_interval(op, global_offset + round);
+    if iv.contains(value) {
+        Ok(())
+    } else {
+        Err(format!("outside the CAAF envelope [{}, {}]", iv.lo, iv.hi))
+    }
+}
+
+/// Judges a finished pair's decision with the CAAF envelope. Only a value
+/// Algorithm 1 would output is a decision: with VERI on, an AGG value VERI
+/// rejected is discarded, so it is not judged. Its `Decide` event still
+/// streams through the watchdog, which checks it for crash silence.
+fn judge_decision<C: Caaf>(
+    dog: &mut Watchdog,
+    op: &C,
+    inst: &Instance,
+    global_offset: Round,
+    report: &PairReport,
+) {
+    if !report.accepted() {
+        return;
+    }
+    let value = report.result().expect("accepted implies a result");
+    if let Err(reason) = envelope(op, inst, global_offset, report.rounds, inst.root, value) {
+        dog.reject_decision(report.rounds, inst.root, value, reason);
+    }
 }
 
 /// A pair execution plus the watchdog's verdict on it.
@@ -89,9 +118,10 @@ pub struct MonitoredPair {
 
 /// [`crate::run::run_pair_with_schedule`] with a fully armed watchdog:
 /// Theorem 3/6 budgets, crash silence, delivery causality, phase
-/// discipline, and the CAAF envelope at the decision. `strict` panics on
-/// the first violation (tests/CI); otherwise violations are collected in
-/// the returned [`MonitorReport`].
+/// discipline, and the CAAF envelope at the decision (an AGG value VERI
+/// rejected is no decision and is not judged). `strict` panics on the
+/// first violation (tests/CI); otherwise violations are collected in the
+/// returned [`MonitorReport`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_pair_monitored<C: Caaf + 'static>(
     op: &C,
@@ -103,11 +133,7 @@ pub fn run_pair_monitored<C: Caaf + 'static>(
     global_offset: Round,
     strict: bool,
 ) -> MonitoredPair {
-    let mut cfg = pair_monitor_config(inst, c, t, run_veri).decide_check(decide_envelope(
-        op,
-        inst,
-        global_offset,
-    ));
+    let mut cfg = pair_monitor_config(inst, c, t, run_veri);
     if strict {
         cfg = cfg.strict();
     }
@@ -121,8 +147,9 @@ pub fn run_pair_monitored<C: Caaf + 'static>(
         global_offset,
         Box::new(Watchdog::new(cfg)),
     );
-    let monitor = finish_watchdog(&mut sink);
-    MonitoredPair { report, monitor }
+    let dog = watchdog(&mut sink);
+    judge_decision(dog, op, inst, global_offset, &report);
+    MonitoredPair { monitor: dog.finish(), report }
 }
 
 /// A monitored pair execution with a black box attached: the report, the
@@ -155,11 +182,7 @@ pub fn run_pair_recorded<C: Caaf + 'static>(
     global_offset: Round,
     ring_rounds: usize,
 ) -> RecordedPair {
-    let cfg = pair_monitor_config(inst, c, t, run_veri).decide_check(decide_envelope(
-        op,
-        inst,
-        global_offset,
-    ));
+    let cfg = pair_monitor_config(inst, c, t, run_veri);
     let recorder = FlightRecorder::new(ring_rounds);
     let flight = recorder.handle();
     let tee = TeeSink::new().with(Box::new(Watchdog::new(cfg))).with(Box::new(recorder));
@@ -167,12 +190,9 @@ pub fn run_pair_recorded<C: Caaf + 'static>(
         run_pair_with_sink(op, inst, schedule, c, t, run_veri, global_offset, Box::new(tee));
     let tee =
         sink.as_any_mut().downcast_mut::<TeeSink>().expect("recorded drivers install a TeeSink");
-    let monitor = tee.sinks_mut()[0]
-        .as_any_mut()
-        .downcast_mut::<Watchdog>()
-        .expect("first teed sink is the Watchdog")
-        .finish();
-    RecordedPair { report, monitor, flight }
+    let dog = watchdog(&mut tee.sinks_mut()[0]);
+    judge_decision(dog, op, inst, global_offset, &report);
+    RecordedPair { monitor: dog.finish(), report, flight }
 }
 
 /// [`crate::run::run_pair_engine`] under a watchdog, for white-box
@@ -211,17 +231,14 @@ pub fn run_pair_engine_monitored<C: Caaf + 'static>(
         eng.exit_phase();
     }
     let mut sink = eng.take_sink().expect("the watchdog we installed");
-    let monitor = finish_watchdog(&mut sink);
+    let monitor = watchdog(&mut sink).finish();
     (eng, params, monitor)
 }
 
 /// Downcasts a sink handed back by a driver to the [`Watchdog`] installed
-/// by this module and finishes it.
-fn finish_watchdog(sink: &mut Box<dyn netsim::TraceSink>) -> MonitorReport {
-    sink.as_any_mut()
-        .downcast_mut::<Watchdog>()
-        .expect("monitored drivers install a Watchdog sink")
-        .finish()
+/// by this module.
+fn watchdog(sink: &mut Box<dyn netsim::TraceSink>) -> &mut Watchdog {
+    sink.as_any_mut().downcast_mut::<Watchdog>().expect("monitored drivers install a Watchdog sink")
 }
 
 #[cfg(test)]

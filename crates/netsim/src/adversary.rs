@@ -193,14 +193,18 @@ impl FailureSchedule {
     }
 
     /// The worst `c` this schedule induces on `g` seen from `root`: the
-    /// maximum over crash times of `diam(H) / diam(G)` where `H` is the live
-    /// residual component of the root. Returns `None` when some prefix of
-    /// the schedule disconnects… never — disconnected nodes simply leave the
-    /// root's component, so a value is always produced for a non-crashing
-    /// root.
+    /// largest `diam(H) / diam(G)` over the failure-free graph (`H = G`) and
+    /// the state after each crash round, where `H` is the live residual
+    /// component of the root and `diam(G)` counts as at least 1. Nodes cut
+    /// off from the root simply leave its component. A crash round at which
+    /// the root itself is dead has no residual component and is skipped.
+    ///
+    /// `diam(G)` is [`Graph::diameter`], cached on `g`; each distinct crash
+    /// round costs one [`Graph::residual_diameter`].
     pub fn stretch_factor(&self, g: &Graph, root: NodeId) -> f64 {
-        let d = g.diameter().max(1) as f64;
-        let mut worst: u32 = g.diameter();
+        let diameter = g.diameter();
+        let d = diameter.max(1) as f64;
+        let mut worst = diameter;
         let mut rounds: Vec<Round> = self.crashes.values().map(|e| e.round).collect();
         rounds.sort_unstable();
         rounds.dedup();

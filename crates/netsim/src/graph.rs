@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node in a [`Graph`], a dense index in `0..n`.
 ///
@@ -151,14 +152,27 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
 /// # Ok::<(), netsim::GraphError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `targets`; length `n + 1`.
     offsets: Vec<u32>,
     /// Concatenated sorted neighbor lists.
     targets: Vec<NodeId>,
     edges: Vec<Edge>,
+    /// The diameter, computed on the first [`Graph::diameter`] call. The
+    /// graph is immutable, so the value never goes stale; a clone carries
+    /// it along.
+    diameter: OnceLock<u32>,
 }
+
+/// Equality is structural: whether the diameter is cached yet is ignored.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets && self.edges == other.edges
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph over `n` nodes from an edge list.
@@ -208,7 +222,7 @@ impl Graph {
         for i in 0..n {
             targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
-        Ok(Graph { offsets, targets, edges: list })
+        Ok(Graph { offsets, targets, edges: list, diameter: OnceLock::new() })
     }
 
     /// Number of nodes `N`.
@@ -329,36 +343,97 @@ impl Graph {
     /// Diameter `d` of the graph: the maximum eccentricity over all nodes.
     ///
     /// The protocols take `d` as a known model parameter; the experiment
-    /// harness computes it from the topology with this method.
+    /// harness computes it from the topology with this method. The first
+    /// call runs the bit-parallel all-sources BFS (`⌈N/64⌉` batches of
+    /// word-wide BFS levels over the CSR arrays); the result is cached on
+    /// the graph, so every later call is a load.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected (diameter is undefined there).
     pub fn diameter(&self) -> u32 {
-        assert!(self.is_connected(), "diameter undefined on disconnected graph");
-        self.nodes().map(|v| self.eccentricity(v)).max().unwrap_or(0)
+        *self.diameter.get_or_init(|| {
+            assert!(self.is_connected(), "diameter undefined on disconnected graph");
+            self.residual_diameter(NodeId(0), &[]).expect("nothing is removed")
+        })
     }
 
     /// Diameter of the residual graph with `removed` nodes deleted,
     /// restricted to the component containing `root`.
     ///
     /// Returns `None` if `root` itself was removed. This is the quantity the
-    /// model bounds by `c * d`.
+    /// model bounds by `c * d`. Runs the same bit-parallel kernel as
+    /// [`Graph::diameter`] over the component's nodes; it is not cached, as
+    /// each removed set is its own graph.
     pub fn residual_diameter(&self, root: NodeId, removed: &[NodeId]) -> Option<u32> {
-        let from_root = self.bfs_distances_avoiding(root, removed);
-        from_root[root.index()]?;
-        let component: Vec<NodeId> =
-            self.nodes().filter(|v| from_root[v.index()].is_some()).collect();
-        let mut diam = 0;
-        for &v in &component {
-            let dv = self.bfs_distances_avoiding(v, removed);
-            for &w in &component {
-                if let Some(x) = dv[w.index()] {
-                    diam = diam.max(x);
-                }
-            }
+        let mut live = vec![true; self.len()];
+        for &r in removed {
+            live[r.index()] = false;
         }
-        Some(diam)
+        if !live[root.index()] {
+            return None;
+        }
+        let component = self.reachable_from(root, removed);
+        Some(self.max_eccentricity(&live, &component))
+    }
+
+    /// The largest BFS distance from a node of `sources` to any node it
+    /// reaches through `live` nodes. Every source must be live.
+    ///
+    /// Runs 64 BFSs at once, one per bit of a `u64` word. Per node, `seen`
+    /// holds the batch's sources that have reached it and `frontier` those
+    /// that reached it on the last level. Each level pulls into every node
+    /// the OR of its neighbours' frontier words, masked by its own `seen`
+    /// word; the batch ends on the first level that adds no bit, and the
+    /// number of levels run is the batch's largest eccentricity. Removed
+    /// nodes, and nodes every source of the batch has reached, start or end
+    /// with a full `seen` word and are skipped. The three word arrays are
+    /// allocated once per call, not per source.
+    fn max_eccentricity(&self, live: &[bool], sources: &[NodeId]) -> u32 {
+        let n = self.len();
+        let mut seen = vec![0u64; n];
+        let mut frontier = vec![0u64; n];
+        let mut next = vec![0u64; n];
+        let mut worst = 0;
+        for batch in sources.chunks(64) {
+            // Bits of `seen` outside the batch start set, so "every source
+            // has reached v" reads as a full word.
+            let batch_bits = u64::MAX >> (64 - batch.len());
+            for v in 0..n {
+                seen[v] = if live[v] { !batch_bits } else { u64::MAX };
+                frontier[v] = 0;
+            }
+            for (i, s) in batch.iter().enumerate() {
+                seen[s.index()] |= 1 << i;
+                frontier[s.index()] |= 1 << i;
+            }
+            let mut levels = 0;
+            loop {
+                let mut grew = 0;
+                for v in 0..n {
+                    let s = seen[v];
+                    if s == u64::MAX {
+                        next[v] = 0;
+                        continue;
+                    }
+                    let reach = self
+                        .neighbors(NodeId(v as u32))
+                        .iter()
+                        .fold(0, |acc, w| acc | frontier[w.index()]);
+                    let new = reach & !s;
+                    seen[v] = s | new;
+                    next[v] = new;
+                    grew |= new;
+                }
+                if grew == 0 {
+                    break;
+                }
+                levels += 1;
+                std::mem::swap(&mut frontier, &mut next);
+            }
+            worst = worst.max(levels);
+        }
+        worst
     }
 
     /// Returns true iff the graph is connected.
@@ -497,6 +572,26 @@ mod tests {
         assert_eq!(g.diameter(), 3);
         assert_eq!(g.residual_diameter(NodeId(0), &[NodeId(3)]), Some(4));
         assert_eq!(g.residual_diameter(NodeId(0), &[NodeId(0)]), None);
+    }
+
+    #[test]
+    fn diameter_cache_rides_along_clones_and_is_ignored_by_eq() {
+        let g = path(70);
+        assert_eq!(g.diameter.get(), None);
+        assert_eq!(g.diameter(), 69);
+        assert_eq!(g.diameter.get(), Some(&69));
+        let h = g.clone();
+        assert_eq!(h.diameter.get(), Some(&69));
+        let fresh = path(70);
+        assert_eq!(fresh.diameter.get(), None);
+        assert_eq!(g, fresh);
+        assert_ne!(g, path(71));
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn diameter_rejects_disconnected_graphs() {
+        let _ = Graph::new(4, &[(0, 1), (2, 3)]).unwrap().diameter();
     }
 
     #[test]

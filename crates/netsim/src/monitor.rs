@@ -23,7 +23,9 @@
 //!    (once any phase is used) every broadcast attributed to some open
 //!    phase — the partition-of-cost property the reports rely on.
 //! 5. **Decision envelope** — an optional [`DecideCheck`] closure (built by
-//!    the driver from the `caaf` oracle) judges every `Decide` value.
+//!    the driver from the `caaf` oracle) judges every `Decide` value. A
+//!    driver that learns only after the run whether a value was a decision
+//!    records its own rejection with [`Watchdog::reject_decision`].
 //!
 //! Violations are collected into a structured [`MonitorReport`] rather than
 //! panicking, so sweeps can count them; `strict` mode panics on the first
@@ -398,6 +400,14 @@ impl Watchdog {
                 );
             }
         }
+    }
+
+    /// Records a decision the driver rejected after the event stream, for a
+    /// value that only becomes a decision once a later test accepts it
+    /// (AGG's result once VERI said yes). Counts like a `Decide` event the
+    /// [`DecideCheck`] rejected, and panics in strict mode.
+    pub fn reject_decision(&mut self, round: Round, node: NodeId, value: u64, reason: String) {
+        self.violate(round, Some(node), ViolationKind::DecideRejected { value, reason });
     }
 
     /// Runs the end-of-run checks (open phases, cost partition) and

@@ -87,3 +87,45 @@ fn strict_watchdog_clean_on_fig1_style_tradeoff_slice() {
         assert!(monitor.is_clean(), "b = {b}, trial {trial}: {}", monitor.render());
     });
 }
+
+/// A 4×5 grid where four crashes during AGG leave the `t = 1` pair's AGG
+/// with a wrong sum (10 of the 20 unit inputs) that VERI then rejects.
+fn rejected_wrong_sum() -> Instance {
+    let mut s = netsim::FailureSchedule::none();
+    for (v, round) in [(1, 12), (2, 9), (3, 13), (4, 14)] {
+        s.crash(NodeId(v), round);
+    }
+    Instance::new(topology::grid(4, 5), NodeId(0), vec![1; 20], s, 1).expect("valid instance")
+}
+
+/// An AGG value that VERI rejected is not a decision, so the CAAF envelope
+/// does not judge it even in strict mode; its `Decide` event is still
+/// audited.
+#[test]
+fn veri_rejected_value_outside_the_envelope_passes_strict_mode() {
+    use ftagg::monitored::{run_pair_monitored, run_pair_recorded};
+    let inst = rejected_wrong_sum();
+    let m = run_pair_monitored(&Sum, &inst, inst.schedule.clone(), C, 1, true, 0, true);
+    let r = &m.report;
+    assert_eq!((r.result(), r.verdict, r.correct), (Some(10), Some(false), Some(false)));
+    assert!(m.monitor.is_clean(), "{}", m.monitor.render());
+    assert_eq!(m.monitor.decides, 1);
+    let rec = run_pair_recorded(&Sum, &inst, inst.schedule.clone(), C, 1, true, 0, 8);
+    assert!(rec.monitor.is_clean(), "{}", rec.monitor.render());
+}
+
+/// With VERI off, the same wrong AGG value is the decision: the envelope
+/// flags it, and strict mode panics.
+#[test]
+fn unverified_wrong_value_still_trips_the_envelope() {
+    use ftagg::monitored::run_pair_monitored;
+    let inst = rejected_wrong_sum();
+    let m = run_pair_monitored(&Sum, &inst, inst.schedule.clone(), C, 1, false, 0, false);
+    assert_eq!((m.report.result(), m.report.correct), (Some(10), Some(false)));
+    assert_eq!(m.monitor.total, 1, "{}", m.monitor.render());
+    assert!(m.monitor.render().contains("outside the CAAF envelope"), "{}", m.monitor.render());
+    let strict = std::panic::catch_unwind(|| {
+        run_pair_monitored(&Sum, &inst, inst.schedule.clone(), C, 1, false, 0, true)
+    });
+    assert!(strict.is_err(), "strict mode must panic on a wrong decision");
+}
